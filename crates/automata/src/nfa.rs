@@ -216,12 +216,21 @@ impl<S: Symbol> Nfa<S> {
         current.iter().any(|&st| self.accepting[st])
     }
 
-    /// Returns `true` if `L(self) ∩ L(other)` is non-empty.
+    /// Returns `true` if `L(self) ∩ L(other)` may be non-empty.
     ///
     /// This is the core dependence test of the compiler: two statements may
     /// conflict iff the write automaton of one intersects a read or write
-    /// automaton of the other. The product is explored on the fly; wildcard
-    /// transitions overlap every symbol.
+    /// automaton of the other. The product of the two subset constructions
+    /// is explored on the fly, stepping by the symbols `self` can read;
+    /// wildcard transitions overlap every symbol.
+    ///
+    /// The test never misses a shared word, and it is exact when `self` has
+    /// no wildcard transition. When `self` does, stepping by the wildcard
+    /// merges `other`'s successors under *different* symbols into one
+    /// subset, so the answer may be `true` for disjoint languages. It is
+    /// therefore not symmetric: with `self = {*x, ay}` and `other = {by}`,
+    /// `self.intersects(&other)` is `true` while `other.intersects(&self)`
+    /// and the exact [`Nfa::intersection`] say the languages are disjoint.
     pub fn intersects(&self, other: &Nfa<S>) -> bool {
         let mut start = (BTreeSet::from([self.start]), BTreeSet::from([other.start]));
         self.eps_closure(&mut start.0);
@@ -240,12 +249,15 @@ impl<S: Symbol> Nfa<S> {
             // Collect candidate symbols from both sides and advance the
             // product by every overlapping pair.
             let mut moves: BTreeMap<(BTreeSet<StateId>, BTreeSet<StateId>), ()> = BTreeMap::new();
-            let mut a_syms: Vec<&S> = Vec::new();
-            for &s in &a_states {
-                for (sym, _) in &self.transitions[s] {
-                    a_syms.push(sym);
-                }
-            }
+            let mut a_syms: Vec<&S> = a_states
+                .iter()
+                .flat_map(|&s| self.transitions[s].iter().map(|(sym, _)| sym))
+                .collect();
+            // A symbol read by several states yields the same move each
+            // time; `moves` is ordered, so expanding it once changes
+            // neither the subsets built nor the visiting order.
+            a_syms.sort();
+            a_syms.dedup();
             for a_sym in a_syms {
                 // Destination on the `self` side under `a_sym`.
                 let mut a_next = BTreeSet::new();
@@ -282,10 +294,13 @@ impl<S: Symbol> Nfa<S> {
         false
     }
 
-    /// Builds an explicit product automaton accepting `L(self) ∩ L(other)`.
+    /// Builds an explicit product automaton accepting exactly
+    /// `L(self) ∩ L(other)`, wildcards included.
     ///
     /// Mostly useful for tests and debugging; the dependence test uses the
-    /// cheaper on-the-fly [`Nfa::intersects`].
+    /// cheaper on-the-fly [`Nfa::intersects`], which agrees with this
+    /// product's emptiness unless `self` has a wildcard transition (then it
+    /// may over-approximate, never under-approximate).
     pub fn intersection(&self, other: &Nfa<S>) -> Nfa<S> {
         let mut out = Nfa::new();
         let mut index: HashMap<(StateId, StateId), StateId> = HashMap::new();

@@ -125,6 +125,16 @@ fn intersection_product_agrees_with_on_the_fly() {
 }
 
 #[test]
+fn intersects_over_approximates_through_a_left_wildcard() {
+    // `{*x, ay}` vs `{by}`: stepping by `*` merges `a` and `b` successors.
+    let a = lit("*x").union(&lit("ay"));
+    let b = lit("by");
+    assert!(a.intersection(&b).is_empty_language());
+    assert!(a.intersects(&b), "a left wildcard over-approximates");
+    assert!(!b.intersects(&a), "a wildcard-free left side is exact");
+}
+
+#[test]
 fn intersection_with_disjoint_is_empty() {
     let a = lit("abc");
     let b = lit("abd");
@@ -278,6 +288,79 @@ mod proptests {
             let b = nfa_from_words(&words(&mut rng));
             assert_eq!(a.intersects(&b), b.intersects(&a));
         }
+    }
+
+    /// A random automaton of at most five states over `a`, `b`, `c` and
+    /// the wildcard `*`, with epsilons, self-loops and back edges.
+    fn random_nfa(rng: &mut StdRng, wildcards: bool) -> Nfa<char> {
+        let labels: &[char] = if wildcards {
+            &['a', 'b', 'c', '*']
+        } else {
+            &['a', 'b', 'c']
+        };
+        let mut a = Nfa::new();
+        for _ in 1..rng.gen_range(1..6usize) {
+            a.add_state();
+        }
+        let n = a.len();
+        for _ in 0..rng.gen_range(0..2 * n + 2) {
+            let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            a.add_transition(from, labels[rng.gen_range(0..labels.len())], to);
+        }
+        for _ in 0..rng.gen_range(0..n) {
+            a.add_epsilon(rng.gen_range(0..n), rng.gen_range(0..n));
+        }
+        for st in 0..n {
+            a.set_accepting(st, rng.gen_bool(0.3));
+        }
+        a
+    }
+
+    /// Every word over `a`, `b`, `c` of length at most `max`.
+    fn all_words(max: usize) -> Vec<Vec<char>> {
+        let mut words = vec![Vec::new()];
+        let mut frontier = vec![Vec::new()];
+        for _ in 0..max {
+            frontier = frontier
+                .iter()
+                .flat_map(|w: &Vec<char>| {
+                    ['a', 'b', 'c'].iter().map(move |&c| {
+                        let mut next = w.clone();
+                        next.push(c);
+                        next
+                    })
+                })
+                .collect();
+            words.extend(frontier.iter().cloned());
+        }
+        words
+    }
+
+    /// `intersects` is sound: it never misses a shared word, whatever the
+    /// wildcards, epsilons and loops; and it is exact when its receiver
+    /// has no wildcard transition.
+    #[test]
+    fn intersects_never_misses_a_shared_word() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let words = all_words(4);
+        let mut over_approximations = 0;
+        for case in 0..4 * CASES {
+            let left_wildcards = case % 2 == 0;
+            let a = random_nfa(&mut rng, left_wildcards);
+            let b = random_nfa(&mut rng, true);
+            let exact = !a.intersection(&b).is_empty_language();
+            let fast = a.intersects(&b);
+            assert!(!exact || fast, "case {case}: missed a shared word");
+            if !left_wildcards {
+                assert_eq!(fast, exact, "case {case}: wildcard-free left side");
+            }
+            over_approximations += usize::from(fast && !exact);
+            if words.iter().any(|w| a.accepts(w) && b.accepts(w)) {
+                assert!(exact, "case {case}: product lost a shared word");
+            }
+        }
+        // The generator must reach the over-approximating case too.
+        assert!(over_approximations > 0);
     }
 
     #[test]

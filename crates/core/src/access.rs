@@ -19,6 +19,8 @@ use grafter_frontend::{
     TraverseStmt,
 };
 
+use crate::explain::ConflictKind;
+
 /// The automata alphabet symbol of a field.
 pub fn field_sym(field: FieldId) -> PathSym {
     PathSym::Field(field.0)
@@ -71,38 +73,68 @@ impl AccessSummary {
     /// statements originating from the same traversal copy in a merged
     /// function (inlined copies have disjoint frames).
     pub fn conflicts_with(&self, other: &AccessSummary, same_frame: bool) -> bool {
-        if self.tree_writes.intersects(&other.tree_reads)
-            || self.tree_writes.intersects(&other.tree_writes)
-            || self.tree_reads.intersects(&other.tree_writes)
-        {
-            return true;
+        self.conflict_kind(other, same_frame).is_some()
+    }
+
+    /// The first kind of data conflict between this statement and a later
+    /// statement `other`, or `None` when they are independent.
+    ///
+    /// Runs the six automata intersections (tree, then global; write/read,
+    /// write/write, read/write) and then, with `same_frame`, the local
+    /// variable check, stopping at the first hit. The test is directional:
+    /// [`Nfa::intersects`] may over-approximate when its receiver has a
+    /// wildcard transition, so `a.conflict_kind(b)` and `b.conflict_kind(a)`
+    /// can disagree.
+    pub fn conflict_kind(&self, other: &AccessSummary, same_frame: bool) -> Option<ConflictKind> {
+        use ConflictKind as K;
+        let automata = [
+            (K::TreeWriteRead, &self.tree_writes, &other.tree_reads),
+            (K::TreeWriteWrite, &self.tree_writes, &other.tree_writes),
+            (K::TreeReadWrite, &self.tree_reads, &other.tree_writes),
+            (K::GlobalWriteRead, &self.global_writes, &other.global_reads),
+            (
+                K::GlobalWriteWrite,
+                &self.global_writes,
+                &other.global_writes,
+            ),
+            (K::GlobalReadWrite, &self.global_reads, &other.global_writes),
+        ];
+        if let Some(&(kind, _, _)) = automata.iter().find(|(_, a, b)| a.intersects(b)) {
+            return Some(kind);
         }
-        if self.global_writes.intersects(&other.global_reads)
-            || self.global_writes.intersects(&other.global_writes)
-            || self.global_reads.intersects(&other.global_writes)
-        {
-            return true;
-        }
-        if same_frame {
-            let hit = |a: &[LocalId], b: &[LocalId]| a.iter().any(|x| b.contains(x));
-            if hit(&self.local_writes, &other.local_reads)
-                || hit(&self.local_writes, &other.local_writes)
-                || hit(&self.local_reads, &other.local_writes)
-            {
-                return true;
-            }
-        }
-        false
+        let hit = |a: &[LocalId], b: &[LocalId]| a.iter().any(|x| b.contains(x));
+        let locals = hit(&self.local_writes, &other.local_reads)
+            || hit(&self.local_writes, &other.local_writes)
+            || hit(&self.local_reads, &other.local_writes);
+        (same_frame && locals).then_some(K::Local)
     }
 }
 
-/// Cached per-statement access summaries for a whole program.
+/// A top-level statement of the program: `(method, statement index)`.
+pub type StmtRef = (MethodId, usize);
+
+/// How much dependence-test work one fusion run did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DepStats {
+    /// Statement-pair conflict queries answered (memo hits included).
+    pub queries: usize,
+    /// Distinct verdicts actually computed by intersecting automata.
+    pub intersections: usize,
+}
+
+/// Cached per-statement access summaries for a whole program, plus a memo
+/// of the pairwise conflict verdicts computed from them.
 ///
 /// Call summaries depend on the *static receiver context* (the class whose
 /// method contains the call), so the cache key is `(method, stmt index)`.
+/// A conflict verdict is keyed by the *ordered* statement pair and the
+/// `same_frame` flag; the key is never normalized because the automata
+/// test is not symmetric (see [`AccessSummary::conflict_kind`]).
 pub struct ProgramAccesses<'p> {
     program: &'p Program,
-    cache: HashMap<(MethodId, usize), AccessSummary>,
+    cache: HashMap<StmtRef, AccessSummary>,
+    verdicts: HashMap<(StmtRef, StmtRef, bool), Option<ConflictKind>>,
+    queries: usize,
 }
 
 impl<'p> ProgramAccesses<'p> {
@@ -111,6 +143,8 @@ impl<'p> ProgramAccesses<'p> {
         ProgramAccesses {
             program,
             cache: HashMap::new(),
+            verdicts: HashMap::new(),
+            queries: 0,
         }
     }
 
@@ -128,6 +162,30 @@ impl<'p> ProgramAccesses<'p> {
             self.cache.insert((method, index), summary);
         }
         &self.cache[&(method, index)]
+    }
+
+    /// The memoized [`AccessSummary::conflict_kind`] of statement `a`
+    /// followed by statement `b`.
+    pub fn conflict(&mut self, a: StmtRef, b: StmtRef, same_frame: bool) -> Option<ConflictKind> {
+        self.queries += 1;
+        let key = (a, b, same_frame);
+        if let Some(&kind) = self.verdicts.get(&key) {
+            return kind;
+        }
+        self.summary(a.0, a.1);
+        self.summary(b.0, b.1);
+        let kind = self.cache[&a].conflict_kind(&self.cache[&b], same_frame);
+        self.verdicts.insert(key, kind);
+        kind
+    }
+
+    /// The dependence-test work done through [`ProgramAccesses::conflict`]
+    /// so far.
+    pub fn dep_stats(&self) -> DepStats {
+        DepStats {
+            queries: self.queries,
+            intersections: self.verdicts.len(),
+        }
     }
 
     /// Builds the summary of one top-level statement in the context of a
@@ -619,6 +677,35 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn conflict_memo_keys_on_the_frame_and_counts_hits() {
+        let p = compile(
+            r#"
+            tree class A {
+                int y = 0;
+                traversal f() { int x = 1; y = x; }
+            }
+            "#,
+        )
+        .unwrap();
+        let mut acc = ProgramAccesses::new(&p);
+        let f = p
+            .method_on_class(p.class_by_name("A").unwrap(), "f")
+            .unwrap();
+        // `int x = 1` then `y = x`: a local conflict within one frame only.
+        let (def, read) = ((f, 0), (f, 1));
+        assert_eq!(acc.conflict(def, read, false), None);
+        assert_eq!(acc.conflict(def, read, true), Some(ConflictKind::Local));
+        assert_eq!(acc.conflict(def, read, false), None);
+        assert_eq!(
+            acc.dep_stats(),
+            DepStats {
+                queries: 3,
+                intersections: 2
+            }
+        );
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use grafter_frontend::{MethodId, Program, Stmt};
 
-use crate::access::{AccessSummary, ProgramAccesses};
+use crate::access::ProgramAccesses;
 
 /// One statement of a merged (outlined + inlined) function body.
 #[derive(Clone, Debug)]
@@ -58,15 +58,21 @@ impl DepGraph {
     /// Builds the dependence graph over `merged`, the statement list of the
     /// sequence `seq` (used to attribute statements to their methods for
     /// access summaries).
+    ///
+    /// Data edges come from [`ProgramAccesses::conflict`], so a statement
+    /// pair met again — in this body or in any other fused function built
+    /// from the same `accesses` — costs a memo lookup, not six automata
+    /// intersections.
     pub fn build(
         accesses: &mut ProgramAccesses<'_>,
         seq: &[MethodId],
         merged: &[MergedStmt],
     ) -> DepGraph {
         let n = merged.len();
-        let summaries: Vec<AccessSummary> = merged
+        let stmt = |ms: &MergedStmt| (seq[ms.traversal], ms.index);
+        let may_return: Vec<bool> = merged
             .iter()
-            .map(|ms| accesses.summary(seq[ms.traversal], ms.index).clone())
+            .map(|ms| accesses.summary(seq[ms.traversal], ms.index).may_return)
             .collect();
 
         let mut g = DepGraph {
@@ -77,8 +83,12 @@ impl DepGraph {
         for u in 0..n {
             for v in (u + 1)..n {
                 let same_frame = merged[u].traversal == merged[v].traversal;
-                let control = same_frame && (summaries[u].may_return || summaries[v].may_return);
-                if control || summaries[u].conflicts_with(&summaries[v], same_frame) {
+                let control = same_frame && (may_return[u] || may_return[v]);
+                if control
+                    || accesses
+                        .conflict(stmt(&merged[u]), stmt(&merged[v]), same_frame)
+                        .is_some()
+                {
                     g.succs[u].push(v);
                     g.preds[v].push(u);
                 }
@@ -135,7 +145,8 @@ impl DepGraph {
     ///
     /// This is the legality test for call grouping: merging the members of
     /// `group` into one vertex keeps the graph acyclic iff no member reaches
-    /// another member through an outside vertex.
+    /// another member through an outside vertex. The explain loop asks it
+    /// of each candidate pair with `group = [u, v]`.
     pub fn reaches_outside(&self, u: usize, v: usize, group: &[usize]) -> bool {
         let mut seen = vec![false; self.n];
         let mut stack: Vec<usize> = Vec::new();
@@ -162,6 +173,44 @@ impl DepGraph {
             }
         }
         false
+    }
+
+    /// Whether condensing the vertices by `group_of` (vertex → group id,
+    /// ids below `len()`) leaves the graph acyclic — the legality test of
+    /// greedy grouping, where a group may already hold several calls.
+    pub fn condensation_acyclic(&self, group_of: &[usize]) -> bool {
+        // Dense renumbering of group ids (ids are vertex indices).
+        let mut remap = vec![usize::MAX; self.n];
+        let mut k = 0;
+        for &g in group_of {
+            if remap[g] == usize::MAX {
+                remap[g] = k;
+                k += 1;
+            }
+        }
+        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); k];
+        let mut indeg = vec![0usize; k];
+        for u in 0..self.n {
+            for &v in &self.succs[u] {
+                let (gu, gv) = (remap[group_of[u]], remap[group_of[v]]);
+                if gu != gv && !succs[gu].contains(&gv) {
+                    succs[gu].push(gv);
+                    indeg[gv] += 1;
+                }
+            }
+        }
+        let mut ready: Vec<usize> = (0..k).filter(|&g| indeg[g] == 0).collect();
+        let mut seen = 0;
+        while let Some(g) = ready.pop() {
+            seen += 1;
+            for &s in &succs[g] {
+                indeg[s] -= 1;
+                if indeg[s] == 0 {
+                    ready.push(s);
+                }
+            }
+        }
+        seen == k
     }
 
     /// Topological order of the graph with `groups` condensed into single

@@ -26,7 +26,7 @@ use std::sync::Arc;
 
 use grafter_frontend::{ClassId, Expr, MethodId, NodePath, Program, Stmt};
 
-use crate::access::ProgramAccesses;
+use crate::access::{DepStats, ProgramAccesses};
 use crate::depgraph::{
     subtree_independence, DepGraph, FnParallelism, MergedStmt, SubtreeIndependence,
 };
@@ -232,6 +232,9 @@ pub struct FusedProgram {
     /// [`FusedFnId`]): which runs of sibling dispatches are parallel-safe.
     /// Computed from the same dependence graphs that scheduled the bodies.
     pub par: SubtreeIndependence,
+    /// Dependence-test work of this fusion run: statement-pair conflict
+    /// queries and the distinct verdicts computed to answer them.
+    pub deps: DepStats,
 }
 
 impl FusedProgram {
@@ -368,6 +371,7 @@ pub fn fuse_slots(
         coverage: fuser.coverage,
         explain: fuser.explain,
         par: SubtreeIndependence { fns: fuser.par },
+        deps: fuser.accesses.dep_stats(),
     }
 }
 
@@ -557,7 +561,7 @@ impl Fuser<'_> {
                 // acyclic.
                 let saved = group_of[v];
                 group_of[v] = group_of[u];
-                if condensation_acyclic(graph, &group_of) {
+                if graph.condensation_acyclic(&group_of) {
                     grouped[v] = true;
                     members.push(v);
                     types = tentative_types;
@@ -601,11 +605,8 @@ impl Fuser<'_> {
                     let targets = (static_target(self, u), static_target(self, v));
                     let legal = match targets {
                         (Some(a), Some(b)) => {
-                            self.program.least_common_ancestor(&[a, b]).is_some() && {
-                                let mut pair: Vec<usize> = (0..n).collect();
-                                pair[v] = u;
-                                condensation_acyclic(graph, &pair)
-                            }
+                            self.program.least_common_ancestor(&[a, b]).is_some()
+                                && !graph.reaches_outside(u, v, &[u, v])
                         }
                         _ => false,
                     };
@@ -686,8 +687,7 @@ impl Fuser<'_> {
     /// the pair `(u, v)` is merged: the first edge of a shortest dependence
     /// path `u → … → v` through vertices outside the pair (with forward-only
     /// edges, such a path is exactly what makes the pair-merged condensation
-    /// cyclic), classified by re-running the access-automata intersections
-    /// that built the graph.
+    /// cyclic), classified by the conflict verdict that built the edge.
     fn cycle_cause(
         &mut self,
         seq: &[MethodId],
@@ -736,58 +736,18 @@ impl Fuser<'_> {
             // fall back to the direct pair edge.
             (u, v)
         };
-        let kind = self.classify_edge(seq, merged, from, to);
+        // Data conflicts first (more informative than the control
+        // fallback): the memoized verdict that built this edge.
+        let stmt = |w: usize| (seq[merged[w].traversal], merged[w].index);
+        let same_frame = merged[from].traversal == merged[to].traversal;
+        let kind = self
+            .accesses
+            .conflict(stmt(from), stmt(to), same_frame)
+            .unwrap_or(ConflictKind::Control);
         BlockCause::DependenceCycle {
             kind,
             from: edge_end(self.program, merged, from),
             to: edge_end(self.program, merged, to),
-        }
-    }
-
-    /// Classifies the dependence edge `(a, b)` by re-running the individual
-    /// automata intersections of [`AccessSummary::conflicts_with`], data
-    /// conflicts first (more informative than the control fallback).
-    ///
-    /// [`AccessSummary::conflicts_with`]: crate::AccessSummary::conflicts_with
-    fn classify_edge(
-        &mut self,
-        seq: &[MethodId],
-        merged: &[MergedStmt],
-        a: usize,
-        b: usize,
-    ) -> ConflictKind {
-        let same_frame = merged[a].traversal == merged[b].traversal;
-        let sa = self
-            .accesses
-            .summary(seq[merged[a].traversal], merged[a].index)
-            .clone();
-        let sb = self
-            .accesses
-            .summary(seq[merged[b].traversal], merged[b].index)
-            .clone();
-        let locals_hit = |x: &[grafter_frontend::LocalId], y: &[grafter_frontend::LocalId]| {
-            x.iter().any(|l| y.contains(l))
-        };
-        if sa.tree_writes.intersects(&sb.tree_reads) {
-            ConflictKind::TreeWriteRead
-        } else if sa.tree_writes.intersects(&sb.tree_writes) {
-            ConflictKind::TreeWriteWrite
-        } else if sa.tree_reads.intersects(&sb.tree_writes) {
-            ConflictKind::TreeReadWrite
-        } else if sa.global_writes.intersects(&sb.global_reads) {
-            ConflictKind::GlobalWriteRead
-        } else if sa.global_writes.intersects(&sb.global_writes) {
-            ConflictKind::GlobalWriteWrite
-        } else if sa.global_reads.intersects(&sb.global_writes) {
-            ConflictKind::GlobalReadWrite
-        } else if same_frame
-            && (locals_hit(&sa.local_writes, &sb.local_reads)
-                || locals_hit(&sa.local_writes, &sb.local_writes)
-                || locals_hit(&sa.local_reads, &sb.local_writes))
-        {
-            ConflictKind::Local
-        } else {
-            ConflictKind::Control
         }
     }
 
@@ -907,39 +867,4 @@ fn edge_end(program: &Program, merged: &[MergedStmt], v: usize) -> EdgeEnd {
         index: merged[v].index,
         what,
     }
-}
-
-/// Whether condensing `group_of` over `graph` yields an acyclic graph.
-fn condensation_acyclic(graph: &DepGraph, group_of: &[usize]) -> bool {
-    let n = group_of.len();
-    // Dense renumbering of group ids.
-    let mut remap: HashMap<usize, usize> = HashMap::new();
-    for &g in group_of {
-        let next = remap.len();
-        remap.entry(g).or_insert(next);
-    }
-    let k = remap.len();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); k];
-    let mut indeg = vec![0usize; k];
-    for u in 0..n {
-        for &v in graph.succs(u) {
-            let (gu, gv) = (remap[&group_of[u]], remap[&group_of[v]]);
-            if gu != gv && !succs[gu].contains(&gv) {
-                succs[gu].push(gv);
-                indeg[gv] += 1;
-            }
-        }
-    }
-    let mut ready: Vec<usize> = (0..k).filter(|&g| indeg[g] == 0).collect();
-    let mut seen = 0;
-    while let Some(g) = ready.pop() {
-        seen += 1;
-        for &s in &succs[g] {
-            indeg[s] -= 1;
-            if indeg[s] == 0 {
-                ready.push(s);
-            }
-        }
-    }
-    seen == k
 }

@@ -54,7 +54,7 @@ pub mod explain;
 pub mod fusion;
 pub mod pipeline;
 
-pub use access::{AccessSummary, ProgramAccesses};
+pub use access::{AccessSummary, DepStats, ProgramAccesses, StmtRef};
 pub use depgraph::{
     CallPairVerdict, DepGraph, FnParallelism, MergedStmt, ParBlock, SubtreeIndependence,
 };

@@ -213,6 +213,11 @@ impl EngineBuilder {
                     "verdicts".to_string(),
                     fused.explain.pairs.len().to_string(),
                 ),
+                ("dep_queries".to_string(), fused.deps.queries.to_string()),
+                (
+                    "dep_intersections".to_string(),
+                    fused.deps.intersections.to_string(),
+                ),
             ],
         });
         let fusion = FusionMetrics {

@@ -113,7 +113,7 @@ const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         name: "--stats",
         value: None,
-        help: "print fusion metrics (and optimizer per-pass deltas) on stderr",
+        help: "print fusion and dependence metrics (and optimizer per-pass deltas) on stderr",
     },
     FlagSpec {
         name: "--backend",
@@ -512,6 +512,13 @@ fn main() -> ExitCode {
                 }
             }
         }
+        let deps = engine.fused_program().deps;
+        eprintln!(
+            "dependence: {} statement-pair queries, {} verdict(s) computed, {} memo hit(s)",
+            deps.queries,
+            deps.intersections,
+            deps.queries - deps.intersections
+        );
     }
 
     if cli.has("--run") {

@@ -268,3 +268,27 @@ fn stats_report_the_opt_level() {
     assert_eq!(code, Some(0));
     assert!(stderr.contains("[backend: vm O2"), "stats: {stderr}");
 }
+
+#[test]
+fn stats_report_the_dependence_work() {
+    let (_, stderr, code) = grafterc(
+        &[
+            "-", "--root", "Node", "--passes", "inc,inc", "--stats", "--emit", "none",
+        ],
+        LIST,
+    );
+    assert_eq!(code, Some(0));
+    let line = stderr
+        .lines()
+        .find(|l| l.starts_with("dependence: "))
+        .unwrap_or_else(|| panic!("no dependence line: {stderr}"));
+    let numbers: Vec<usize> = line
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    let [queries, computed, hits] = numbers[..] else {
+        panic!("three counters expected: {line}");
+    };
+    assert!(computed > 0 && computed <= queries, "{line}");
+    assert_eq!(queries, computed + hits, "{line}");
+}
