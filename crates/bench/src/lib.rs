@@ -88,415 +88,3 @@ pub fn arg_value(key: &str) -> Option<String> {
 pub fn has_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
-
-/// Reading and strictly validating the committed `BENCH_vm.json` baseline
-/// the `vm_compare --check` perf gate compares against.
-///
-/// The baseline is written by `vm_compare` itself, so the hand-rolled
-/// scanner here matches the hand-rolled emitter there. The gate's
-/// correctness depends on *strictness*: a workload renamed in either the
-/// code or the committed file, or a median key that was never recorded,
-/// must fail the gate loudly instead of silently skipping the comparison
-/// ([`validate`](baseline::validate) is the single place that contract
-/// is enforced, and the unit tests below pin it).
-pub mod baseline {
-    use grafter_obs::json::{parse, Json};
-
-    /// One recorded batch-throughput entry of a baseline workload row.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    pub struct BatchEntry {
-        /// Worker-thread count the entry was measured at.
-        pub workers: usize,
-        /// Trees per batch the entry was measured with.
-        pub trees: usize,
-        /// Recorded sustained throughput.
-        pub trees_per_sec: f64,
-    }
-
-    /// The `"batch"` throughput entries of `workload`'s baseline row,
-    /// parsed with the shared JSON parser (the arrays carry floats, which
-    /// the string-scanning `fused_u128` lookups cannot read).
-    pub fn batch_entries(json: &str, workload: &str) -> Option<Vec<BatchEntry>> {
-        let doc = parse(json).ok()?;
-        let rows = doc.get("workloads")?.as_arr()?;
-        let row = rows
-            .iter()
-            .find(|r| r.get("name").and_then(Json::as_str) == Some(workload))?;
-        row.get("batch")?
-            .as_arr()?
-            .iter()
-            .map(|e| {
-                Some(BatchEntry {
-                    workers: e.get("workers")?.as_num()? as usize,
-                    trees: e.get("trees")?.as_num()? as usize,
-                    trees_per_sec: e.get("trees_per_sec")?.as_num()?,
-                })
-            })
-            .collect()
-    }
-
-    /// Strictly validates every expected workload's `"batch"` array: it
-    /// must exist, sweep exactly `expected_workers` (in order), and
-    /// record positive finite throughput at a positive tree count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the full list of violation messages (never a silent skip).
-    pub fn validate_batch(
-        json: &str,
-        expected: &[&str],
-        expected_workers: &[usize],
-    ) -> Result<(), Vec<String>> {
-        let mut problems = Vec::new();
-        for want in expected {
-            let Some(entries) = batch_entries(json, want) else {
-                problems.push(format!(
-                    "baseline workload `{want}` has no parseable `batch` array"
-                ));
-                continue;
-            };
-            let workers: Vec<usize> = entries.iter().map(|e| e.workers).collect();
-            if workers != expected_workers {
-                problems.push(format!(
-                    "baseline workload `{want}` sweeps workers {workers:?}, expected {expected_workers:?}"
-                ));
-            }
-            for e in &entries {
-                if e.trees == 0 {
-                    problems.push(format!(
-                        "baseline workload `{want}` batch entry at {} worker(s) has zero trees",
-                        e.workers
-                    ));
-                }
-                if !(e.trees_per_sec.is_finite() && e.trees_per_sec > 0.0) {
-                    problems.push(format!(
-                        "baseline workload `{want}` batch entry at {} worker(s) has invalid trees_per_sec {}",
-                        e.workers, e.trees_per_sec
-                    ));
-                }
-            }
-        }
-        if problems.is_empty() {
-            Ok(())
-        } else {
-            Err(problems)
-        }
-    }
-
-    /// One recorded intra-tree-parallel entry of a baseline workload row.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub struct ParallelEntry {
-        /// Intra-tree worker count the entry was measured at.
-        pub workers: usize,
-        /// Recorded median single-tree wall time.
-        pub wall_ns: u128,
-    }
-
-    /// The `"parallel"` entries of `workload`'s baseline row: median
-    /// single-tree wall times of the fused VM engine per intra-tree
-    /// worker count.
-    pub fn parallel_entries(json: &str, workload: &str) -> Option<Vec<ParallelEntry>> {
-        let doc = parse(json).ok()?;
-        let rows = doc.get("workloads")?.as_arr()?;
-        let row = rows
-            .iter()
-            .find(|r| r.get("name").and_then(Json::as_str) == Some(workload))?;
-        row.get("parallel")?
-            .as_arr()?
-            .iter()
-            .map(|e| {
-                Some(ParallelEntry {
-                    workers: e.get("workers")?.as_num()? as usize,
-                    wall_ns: e.get("wall_ns")?.as_num()? as u128,
-                })
-            })
-            .collect()
-    }
-
-    /// Strictly validates every expected workload's `"parallel"` array
-    /// **shape**: it must exist, sweep exactly `expected_workers` (in
-    /// order), and record positive wall times. Parallel medians are
-    /// *not* regression-gated — intra-tree speedup is runner-dependent —
-    /// but a baseline that silently stopped recording them must fail.
-    ///
-    /// # Errors
-    ///
-    /// Returns the full list of violation messages (never a silent skip).
-    pub fn validate_parallel(
-        json: &str,
-        expected: &[&str],
-        expected_workers: &[usize],
-    ) -> Result<(), Vec<String>> {
-        let mut problems = Vec::new();
-        for want in expected {
-            let Some(entries) = parallel_entries(json, want) else {
-                problems.push(format!(
-                    "baseline workload `{want}` has no parseable `parallel` array"
-                ));
-                continue;
-            };
-            let workers: Vec<usize> = entries.iter().map(|e| e.workers).collect();
-            if workers != expected_workers {
-                problems.push(format!(
-                    "baseline workload `{want}` parallel array sweeps workers {workers:?}, expected {expected_workers:?}"
-                ));
-            }
-            for e in &entries {
-                if e.wall_ns == 0 {
-                    problems.push(format!(
-                        "baseline workload `{want}` parallel entry at {} worker(s) has zero wall_ns",
-                        e.workers
-                    ));
-                }
-            }
-        }
-        if problems.is_empty() {
-            Ok(())
-        } else {
-            Err(problems)
-        }
-    }
-
-    /// All workload names recorded in the baseline JSON, in file order.
-    pub fn workload_names(json: &str) -> Vec<String> {
-        let mut names = Vec::new();
-        let mut rest = json;
-        const KEY: &str = "\"name\": \"";
-        while let Some(at) = rest.find(KEY) {
-            rest = &rest[at + KEY.len()..];
-            if let Some(end) = rest.find('"') {
-                names.push(rest[..end].to_string());
-                rest = &rest[end..];
-            }
-        }
-        names
-    }
-
-    /// The byte range of `workload`'s row object within the baseline (from
-    /// its `"name"` key to the next row's, or end of input) — scoping key
-    /// lookups so a key absent from this row is never satisfied by the
-    /// next one.
-    fn row<'j>(json: &'j str, workload: &str) -> Option<&'j str> {
-        let at = json.find(&format!("\"name\": \"{workload}\""))?;
-        let body = &json[at..];
-        let end = body[1..].find("\"name\": \"").map_or(body.len(), |e| e + 1);
-        Some(&body[..end])
-    }
-
-    /// Extracts an integer median of `workload`'s `"fused"` object by key
-    /// path, e.g. `["vm_ns"]` or `["jit", "release"]`.
-    pub fn fused_u128(json: &str, workload: &str, keys: &[&str]) -> Option<u128> {
-        let row = row(json, workload)?;
-        let mut scope = &row[row.find("\"fused\":")?..];
-        // Bound the fused object to keep nested lookups from drifting
-        // into the sibling "unfused"/"batch" objects.
-        if let Some(end) = scope.find("\"unfused\":") {
-            scope = &scope[..end];
-        }
-        for key in keys {
-            scope = &scope[scope.find(&format!("\"{key}\":"))? + key.len() + 3..];
-        }
-        let digits: String = scope
-            .chars()
-            .skip_while(|c| *c == ' ')
-            .take_while(char::is_ascii_digit)
-            .collect();
-        digits.parse().ok()
-    }
-
-    /// Strictly validates the baseline against the expected workload set
-    /// and the required fused key paths, returning every violation:
-    /// workloads missing from the baseline, stale baseline workloads the
-    /// expected set no longer contains, and absent keys.
-    ///
-    /// # Errors
-    ///
-    /// Returns the full list of violation messages (never a silent skip).
-    pub fn validate(
-        json: &str,
-        expected: &[&str],
-        required_keys: &[&[&str]],
-    ) -> Result<(), Vec<String>> {
-        let mut problems = Vec::new();
-        let found = workload_names(json);
-        for want in expected {
-            if !found.iter().any(|n| n == want) {
-                problems.push(format!("baseline is missing workload `{want}`"));
-            }
-        }
-        for have in &found {
-            if !expected.contains(&have.as_str()) {
-                problems.push(format!(
-                    "baseline has stale workload `{have}` (not in the current case studies)"
-                ));
-            }
-        }
-        for want in expected {
-            if !found.iter().any(|n| n == want) {
-                continue; // already reported above
-            }
-            for keys in required_keys {
-                if fused_u128(json, want, keys).is_none() {
-                    problems.push(format!(
-                        "baseline workload `{want}` is missing fused key `{}`",
-                        keys.join(".")
-                    ));
-                }
-            }
-        }
-        if problems.is_empty() {
-            Ok(())
-        } else {
-            Err(problems)
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        const GOOD: &str = r#"{
-          "workloads": [
-            {"name": "ast", "fused": {"interp_ns": 9, "vm_ns": 3, "jit": {"counted": 4, "release": 2}}, "unfused": {"vm_ns": 7}},
-            {"name": "fmm", "fused": {"interp_ns": 90, "vm_ns": 30, "jit": {"counted": 40, "release": 20}}, "unfused": {"vm_ns": 70}}
-          ]
-        }"#;
-
-        #[test]
-        fn extracts_names_and_medians() {
-            assert_eq!(workload_names(GOOD), vec!["ast", "fmm"]);
-            assert_eq!(fused_u128(GOOD, "ast", &["vm_ns"]), Some(3));
-            assert_eq!(fused_u128(GOOD, "fmm", &["jit", "release"]), Some(20));
-            assert_eq!(fused_u128(GOOD, "fmm", &["jit", "counted"]), Some(40));
-        }
-
-        #[test]
-        fn fused_lookup_stays_inside_the_row_and_fused_object() {
-            // `ast` has no jit key here; the lookup must not drift into
-            // `fmm`'s fused object or into ast's unfused object.
-            let json = r#"{"workloads": [
-                {"name": "ast", "fused": {"vm_ns": 3}, "unfused": {"vm_ns": 7, "jit": {"release": 9}}},
-                {"name": "fmm", "fused": {"vm_ns": 30, "jit": {"counted": 40, "release": 20}}}
-            ]}"#;
-            assert_eq!(fused_u128(json, "ast", &["jit", "release"]), None);
-            assert_eq!(fused_u128(json, "ast", &["vm_ns"]), Some(3));
-        }
-
-        #[test]
-        fn validate_accepts_a_complete_baseline() {
-            let required: &[&[&str]] = &[&["vm_ns"], &["jit", "counted"], &["jit", "release"]];
-            assert!(validate(GOOD, &["ast", "fmm"], required).is_ok());
-        }
-
-        #[test]
-        fn validate_fails_on_missing_workload() {
-            // A workload renamed in the code ("render" here) must fail the
-            // gate, not silently skip its regression comparison.
-            let problems = validate(GOOD, &["ast", "render"], &[&["vm_ns"]]).unwrap_err();
-            assert!(problems
-                .iter()
-                .any(|p| p.contains("missing workload `render`")));
-            // The stale leftover under the old name is reported too.
-            assert!(problems.iter().any(|p| p.contains("stale workload `fmm`")));
-        }
-
-        const WITH_BATCH: &str = r#"{
-          "workloads": [
-            {"name": "ast", "fused": {"vm_ns": 3}, "unfused": {"vm_ns": 7},
-             "batch": [{"workers": 1, "trees": 16, "wall_ns": 100, "trees_per_sec": 1000.5},
-                       {"workers": 4, "trees": 16, "wall_ns": 40, "trees_per_sec": 2500.25}]}
-          ]
-        }"#;
-
-        #[test]
-        fn batch_entries_parse_workers_trees_and_throughput() {
-            let entries = batch_entries(WITH_BATCH, "ast").expect("parses");
-            assert_eq!(entries.len(), 2);
-            assert_eq!(entries[0].workers, 1);
-            assert_eq!(entries[0].trees, 16);
-            assert!((entries[0].trees_per_sec - 1000.5).abs() < 1e-9);
-            assert_eq!(entries[1].workers, 4);
-            assert!((entries[1].trees_per_sec - 2500.25).abs() < 1e-9);
-            assert!(batch_entries(WITH_BATCH, "nope").is_none());
-        }
-
-        #[test]
-        fn validate_batch_accepts_the_expected_sweep() {
-            assert!(validate_batch(WITH_BATCH, &["ast"], &[1, 4]).is_ok());
-        }
-
-        #[test]
-        fn validate_batch_fails_on_missing_array_or_wrong_sweep() {
-            // GOOD has no batch arrays at all.
-            let problems = validate_batch(GOOD, &["ast"], &[1, 4]).unwrap_err();
-            assert!(problems[0].contains("no parseable `batch` array"));
-            // A worker sweep that drifted from the code's is a violation.
-            let problems = validate_batch(WITH_BATCH, &["ast"], &[1, 4, 8]).unwrap_err();
-            assert!(problems[0].contains("sweeps workers"));
-        }
-
-        #[test]
-        fn validate_batch_fails_on_degenerate_entries() {
-            let bad = r#"{"workloads": [
-                {"name": "ast", "batch": [{"workers": 1, "trees": 0, "wall_ns": 0, "trees_per_sec": 0.0}]}
-            ]}"#;
-            let problems = validate_batch(bad, &["ast"], &[1]).unwrap_err();
-            assert!(problems.iter().any(|p| p.contains("zero trees")));
-            assert!(problems.iter().any(|p| p.contains("invalid trees_per_sec")));
-        }
-
-        const WITH_PARALLEL: &str = r#"{
-          "workloads": [
-            {"name": "ast", "fused": {"vm_ns": 3}, "unfused": {"vm_ns": 7},
-             "parallel": [{"workers": 1, "wall_ns": 100},
-                          {"workers": 2, "wall_ns": 60},
-                          {"workers": 4, "wall_ns": 40}]}
-          ]
-        }"#;
-
-        #[test]
-        fn parallel_entries_parse_workers_and_walls() {
-            let entries = parallel_entries(WITH_PARALLEL, "ast").expect("parses");
-            assert_eq!(entries.len(), 3);
-            assert_eq!(
-                entries[0],
-                ParallelEntry {
-                    workers: 1,
-                    wall_ns: 100
-                }
-            );
-            assert_eq!(entries[2].workers, 4);
-            assert!(parallel_entries(WITH_PARALLEL, "nope").is_none());
-        }
-
-        #[test]
-        fn validate_parallel_accepts_the_expected_sweep() {
-            assert!(validate_parallel(WITH_PARALLEL, &["ast"], &[1, 2, 4]).is_ok());
-        }
-
-        #[test]
-        fn validate_parallel_fails_on_missing_array_wrong_sweep_or_zero_wall() {
-            // GOOD has no parallel arrays at all.
-            let problems = validate_parallel(GOOD, &["ast"], &[1, 2, 4]).unwrap_err();
-            assert!(problems[0].contains("no parseable `parallel` array"));
-            let problems = validate_parallel(WITH_PARALLEL, &["ast"], &[1, 2]).unwrap_err();
-            assert!(problems[0].contains("sweeps workers"));
-            let bad = r#"{"workloads": [
-                {"name": "ast", "parallel": [{"workers": 1, "wall_ns": 0}]}
-            ]}"#;
-            let problems = validate_parallel(bad, &["ast"], &[1]).unwrap_err();
-            assert!(problems.iter().any(|p| p.contains("zero wall_ns")));
-        }
-
-        #[test]
-        fn validate_fails_on_missing_key() {
-            let no_jit = r#"{"workloads": [
-                {"name": "ast", "fused": {"vm_ns": 3}, "unfused": {"vm_ns": 7}}
-            ]}"#;
-            let required: &[&[&str]] = &[&["vm_ns"], &["jit", "release"]];
-            let problems = validate(no_jit, &["ast"], required).unwrap_err();
-            assert_eq!(problems.len(), 1);
-            assert!(problems[0].contains("missing fused key `jit.release`"));
-        }
-    }
-}

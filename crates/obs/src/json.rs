@@ -11,7 +11,9 @@
 //!   management (and [`escape`] for string contents).
 //! - [`parse`] turns a JSON document into a [`Json`] tree (numbers kept
 //!   as `f64`, which is enough for microsecond timestamps at trace
-//!   scale and for the server protocol's sizes/seeds).
+//!   scale and for the server protocol's sizes/seeds). Nesting deeper
+//!   than [`MAX_DEPTH`] is a [`JsonError`], so hostile input cannot
+//!   overflow the parsing thread's stack.
 //! - [`validate_chrome_trace`] checks the shape Perfetto requires —
 //!   a top-level `traceEvents` array whose events carry
 //!   `name`/`ph`/`pid`, with `ts` and `dur` on every complete (`"X"`)
@@ -261,6 +263,17 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. Far above any real
+/// input: the deepest case-study tree sent inline nests about 630 levels.
+pub const MAX_DEPTH: usize = 4096;
+
+/// An array or object the parser is inside of: its items so far, or
+/// its entries so far and the key awaiting its value.
+enum Open {
+    Arr(Vec<Json>),
+    Obj(BTreeMap<String, Json>, String),
+}
+
 struct Parser<'s> {
     src: &'s [u8],
     pos: usize,
@@ -306,68 +319,92 @@ impl<'s> Parser<'s> {
         }
     }
 
+    /// Parses one value. Iterative: open arrays and objects live on an
+    /// explicit stack, so nesting costs heap, not call frames, and stops
+    /// at [`MAX_DEPTH`].
     fn value(&mut self) -> Result<Json, JsonError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.eat_lit("true", Json::Bool(true)),
-            Some(b'f') => self.eat_lit("false", Json::Bool(false)),
-            Some(b'n') => self.eat_lit("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
-            Some(_) => self.err("unexpected character"),
-            None => self.err("unexpected end of input"),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(map));
-        }
+        let mut open: Vec<Open> = Vec::new();
         loop {
             self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
+            let mut val = match self.peek() {
+                Some(b @ (b'{' | b'[')) => {
+                    if open.len() == MAX_DEPTH {
+                        return self.err(&format!("nesting deeper than {MAX_DEPTH} levels"));
+                    }
                     self.pos += 1;
-                    return Ok(Json::Obj(map));
+                    self.skip_ws();
+                    match (b, self.peek()) {
+                        (b'[', Some(b']')) => {
+                            self.pos += 1;
+                            Json::Arr(Vec::new())
+                        }
+                        (b'{', Some(b'}')) => {
+                            self.pos += 1;
+                            Json::Obj(BTreeMap::new())
+                        }
+                        (b'[', _) => {
+                            open.push(Open::Arr(Vec::new()));
+                            continue;
+                        }
+                        _ => {
+                            let key = self.key()?;
+                            open.push(Open::Obj(BTreeMap::new(), key));
+                            continue;
+                        }
+                    }
                 }
-                _ => return self.err("expected ',' or '}'"),
+                Some(b'"') => Json::Str(self.string()?),
+                Some(b't') => self.eat_lit("true", Json::Bool(true))?,
+                Some(b'f') => self.eat_lit("false", Json::Bool(false))?,
+                Some(b'n') => self.eat_lit("null", Json::Null)?,
+                Some(b) if b == b'-' || b.is_ascii_digit() => self.number()?,
+                Some(_) => return self.err("unexpected character"),
+                None => return self.err("unexpected end of input"),
+            };
+            // Store the value in its container; each closing bracket
+            // completes the container as the next value up.
+            loop {
+                self.skip_ws();
+                let close = match open.last_mut() {
+                    None => return Ok(val),
+                    Some(Open::Arr(items)) => {
+                        items.push(val);
+                        b']'
+                    }
+                    Some(Open::Obj(map, key)) => {
+                        map.insert(std::mem::take(key), val);
+                        b'}'
+                    }
+                };
+                match self.peek() {
+                    Some(b',') => {
+                        self.pos += 1;
+                        if let Some(Open::Obj(_, key)) = open.last_mut() {
+                            *key = self.key()?;
+                        }
+                        break;
+                    }
+                    Some(b) if b == close => {
+                        self.pos += 1;
+                        val = match open.pop() {
+                            Some(Open::Arr(items)) => Json::Arr(items),
+                            Some(Open::Obj(map, _)) => Json::Obj(map),
+                            None => unreachable!("a container is open"),
+                        };
+                    }
+                    _ => return self.err(&format!("expected ',' or '{}'", close as char)),
+                }
             }
         }
     }
 
-    fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// An object key and its colon.
+    fn key(&mut self) -> Result<String, JsonError> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return self.err("expected ',' or ']'"),
-            }
-        }
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(key)
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -536,6 +573,12 @@ mod tests {
         assert_eq!(arr[2].as_str(), Some("x\n"));
         assert_eq!(arr[3], Json::Bool(true));
         assert_eq!(arr[4], Json::Null);
+        let nested = parse(r#" { "x" : [ { } , [ ] , { "y" : [ 1 ] } ] , "z" : { } } "#).unwrap();
+        let x = nested.get("x").unwrap().as_arr().unwrap();
+        assert_eq!(x[0], Json::Obj(BTreeMap::new()));
+        assert_eq!(x[1], Json::Arr(Vec::new()));
+        assert_eq!(x[2].get("y").unwrap().as_arr(), Some(&[Json::Num(1.0)][..]));
+        assert_eq!(nested.get("z"), Some(&Json::Obj(BTreeMap::new())));
     }
 
     #[test]
@@ -544,6 +587,22 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("{} junk").is_err());
         assert!(parse(r#"{"a" 1}"#).is_err());
+        assert!(parse("[1 2]").is_err());
+        assert!(parse("[1}").is_err());
+        assert!(parse(r#"{"a":1,}"#).is_err());
+        assert!(parse(r#"{"a":1 "b":2}"#).is_err());
+        assert!(parse(r#"[{"a":[]}"#).is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.at, MAX_DEPTH);
+        assert!(err.msg.contains("nesting deeper than 4096"), "{err}");
+        // far deeper input fails the same way instead of exhausting the stack
+        assert_eq!(parse(&"[".repeat(1 << 20)).unwrap_err(), err);
     }
 
     #[test]

@@ -4,7 +4,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use grafter::{CallPart, FusedFnId, FusedProgram, ScheduledItem, StubId};
+use grafter::{
+    CallPart, Diag, DiagnosticBag, FusedFnId, FusedProgram, ScheduledItem, Stage, StubId,
+};
 use grafter_cachesim::CacheHierarchy;
 use grafter_frontend::{BinOp, DataAccess, Expr, MethodId, NodePath, Stmt};
 
@@ -48,6 +50,20 @@ impl fmt::Display for RuntimeError {
 }
 
 impl std::error::Error for RuntimeError {}
+
+/// A runtime failure in the compiler's diagnostic currency, tagged
+/// [`Stage::Runtime`] so callers can tell a bad program from a bad run.
+impl From<RuntimeError> for Diag {
+    fn from(e: RuntimeError) -> Diag {
+        Diag::error_global(Stage::Runtime, e.to_string())
+    }
+}
+
+impl From<RuntimeError> for DiagnosticBag {
+    fn from(e: RuntimeError) -> DiagnosticBag {
+        DiagnosticBag::from(Diag::from(e))
+    }
+}
 
 type RResult<T> = Result<T, RuntimeError>;
 

@@ -11,8 +11,8 @@
 //!   is visible exactly as in the paper;
 //! - **memory accesses / cache misses** — every field access is issued at a
 //!   byte address to a [`grafter_cachesim::CacheHierarchy`];
-//! - **runtime** — a cycle model (instructions + memory stalls), and real
-//!   wall-clock when driven by Criterion benches.
+//! - **runtime** — a cycle model (instructions + memory stalls); real
+//!   wall-clock is measured by the `perfbench` repository benchmark.
 //!
 //! The heap assigns nodes bump-allocated addresses in construction order
 //! (like `malloc` in the paper's C++ runs), so locality effects of fusion
@@ -56,7 +56,6 @@ mod heap;
 mod interp;
 mod metrics;
 pub mod ops;
-pub mod pipeline;
 mod pure;
 
 pub use heap::{default_literal, Heap, Layouts, NodeId, SnapValue, NODE_HEADER_BYTES, SLOT_BYTES};

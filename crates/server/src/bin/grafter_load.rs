@@ -1,7 +1,7 @@
 //! grafter-load — the grafterd load generator.
 //!
 //! ```text
-//! grafter-load --addr HOST:PORT [--smoke] [--clients N] [--out PATH]
+//! grafter-load --addr HOST:PORT [--smoke] [--clients N]
 //! ```
 //!
 //! Drives all four paper case studies against a running daemon in three
@@ -19,15 +19,16 @@
 //! new lowerings and **zero** new pool thread spawns — cached requests
 //! neither compile nor spawn. A violation exits 1.
 //!
-//! Results (p50/p99 latency, sustained trees/sec per case) land in
-//! `BENCH_server.json`.
+//! Results (p50/p99 latency, sustained trees/sec per case) are printed to
+//! stdout. Wall-clock serving performance is measured by the `serve`
+//! workload of `perfbench`, not here.
 
 use std::io::{self, BufWriter};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use grafter_obs::json::{parse, Json, JsonWriter};
+use grafter_obs::json::{parse, Json};
 use grafter_server::proto::{
     render_bare, render_run, render_run_batch, write_frame, FrameReader, Incoming, InputSpec,
     ProgramSpec,
@@ -173,7 +174,6 @@ struct StatsSample {
     spawned: u64,
     cache_hits: u64,
     cache_misses: u64,
-    single_flight_waits: u64,
 }
 
 fn sample_stats(client: &mut Client) -> io::Result<StatsSample> {
@@ -194,7 +194,6 @@ fn sample_stats(client: &mut Client) -> io::Result<StatsSample> {
         spawned: num(&body, &["pool", "spawned_total"]),
         cache_hits: num(&body, &["cache", "hits"]),
         cache_misses: num(&body, &["cache", "misses"]),
-        single_flight_waits: num(&body, &["cache", "single_flight_waits"]),
     })
 }
 
@@ -232,7 +231,6 @@ fn gen_input(case: &grafter_workloads::CaseStudy, size: usize, seed: u64) -> Inp
 struct CaseResult {
     name: String,
     requests: usize,
-    trees: usize,
     p50_us: f64,
     p99_us: f64,
     trees_per_sec: f64,
@@ -307,7 +305,6 @@ fn steady_case(
     Ok(CaseResult {
         name: case.name.to_string(),
         requests: latencies.len(),
-        trees,
         p50_us: percentile(&latencies, 50),
         p99_us: percentile(&latencies, 99),
         trees_per_sec: trees as f64 / wall.as_secs_f64().max(1e-9),
@@ -315,11 +312,11 @@ fn steady_case(
 }
 
 fn usage() -> ! {
-    eprintln!("usage: grafter-load --addr HOST:PORT [--smoke] [--clients N] [--out PATH]");
+    eprintln!("usage: grafter-load --addr HOST:PORT [--smoke] [--clients N]");
     std::process::exit(2)
 }
 
-fn run(addr: &str, shape: &Shape, smoke: bool, out: &str) -> io::Result<bool> {
+fn run(addr: &str, shape: &Shape) -> io::Result<bool> {
     let cases = case_studies();
     let mut control = Client::connect(addr)?;
 
@@ -344,18 +341,14 @@ fn run(addr: &str, shape: &Shape, smoke: bool, out: &str) -> io::Result<bool> {
     let after_warm = sample_stats(&mut control)?;
 
     // Uncached phase: distinct sources must compile (cache misses).
-    let mut uncached: Vec<u128> = Vec::new();
     for case in &cases {
         let program = program_for(case);
         for k in 0..shape.variants {
             let variant = variant_of(&program, k);
             let body = render_run(&variant, &gen_input(case, shape.size_for(case), k as u64));
-            let t = Instant::now();
             expect_ok(&control.call(&body)?)?;
-            uncached.push(t.elapsed().as_nanos());
         }
     }
-    uncached.sort_unstable();
     let after_uncached = sample_stats(&mut control)?;
     if after_uncached.cache_misses <= after_warm.cache_misses {
         eprintln!("grafter-load: variant programs did not miss the cache");
@@ -386,40 +379,6 @@ fn run(addr: &str, shape: &Shape, smoke: bool, out: &str) -> io::Result<bool> {
         ok = false;
     }
 
-    let mut w = JsonWriter::with_capacity(1024);
-    w.begin_obj();
-    w.key("bench").str("server");
-    w.key("smoke").bool(smoke);
-    w.key("clients").num(shape.clients);
-    w.key("window").num(WINDOW);
-    w.key("bench_sized").bool(shape.bench_sized);
-    w.key("steady").begin_obj();
-    w.key("lowerings_delta").num(lowerings_delta);
-    w.key("spawned_delta").num(spawned_delta);
-    w.key("cache_hits")
-        .num(after.cache_hits - before.cache_hits);
-    w.end_obj();
-    w.key("uncached").begin_obj();
-    w.key("requests").num(uncached.len());
-    w.key("p50_us").float(percentile(&uncached, 50));
-    w.key("p99_us").float(percentile(&uncached, 99));
-    w.end_obj();
-    w.key("single_flight_waits").num(after.single_flight_waits);
-    w.key("cases").begin_arr();
-    for r in &results {
-        w.begin_obj();
-        w.key("name").str(&r.name);
-        w.key("requests").num(r.requests);
-        w.key("trees").num(r.trees);
-        w.key("p50_us").float(r.p50_us);
-        w.key("p99_us").float(r.p99_us);
-        w.key("trees_per_sec").float(r.trees_per_sec);
-        w.end_obj();
-    }
-    w.end_arr();
-    w.end_obj();
-    std::fs::write(out, format!("{}\n", w.finish()))?;
-
     for r in &results {
         println!(
             "{:>8}: {} requests, p50 {:.1} us, p99 {:.1} us, {:.0} trees/sec",
@@ -437,7 +396,6 @@ fn main() -> ExitCode {
     let mut addr: Option<String> = None;
     let mut smoke = false;
     let mut clients: Option<usize> = None;
-    let mut out = "BENCH_server.json".to_string();
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
         let mut value = || args.next().unwrap_or_else(|| usage());
@@ -448,7 +406,6 @@ fn main() -> ExitCode {
                 Ok(n) if n > 0 => clients = Some(n),
                 _ => usage(),
             },
-            "--out" => out = value(),
             "--help" | "-h" => usage(),
             _ => usage(),
         }
@@ -459,7 +416,7 @@ fn main() -> ExitCode {
         shape.clients = c;
     }
 
-    match run(&addr, &shape, smoke, &out) {
+    match run(&addr, &shape) {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::FAILURE,
         Err(e) => {

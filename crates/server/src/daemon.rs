@@ -37,8 +37,10 @@ use crate::proto::{
 /// Results per streamed `run_batch` response frame.
 const CHUNK: usize = 16;
 
-/// Connection-thread stack: big enough for deep JSON recursion, small
-/// next to the pool's traversal stacks (which do the actual running).
+/// Connection-thread stack: big enough for the recursive walks over a
+/// request of the deepest nesting the JSON parser accepts
+/// ([`grafter_obs::json::MAX_DEPTH`]), small next to the pool's traversal
+/// stacks (which do the actual running).
 const CONN_STACK: usize = 64 << 20;
 
 /// How long a connection waits on a *partially received* frame after

@@ -280,6 +280,31 @@ fn bad_utf8_body_is_typed_and_survivable() {
 }
 
 #[test]
+fn deeply_nested_frame_is_typed_and_survivable() {
+    let (addr, shutdown, handle) = spawn_daemon();
+    let mut client = Client::connect(addr);
+
+    // 1 MiB of `[`: nesting far beyond the parser's depth cap.
+    let resp = client.call(&"[".repeat(1 << 20));
+    assert!(!is_ok(&resp));
+    assert_eq!(error_stage(&resp), "proto");
+    assert!(
+        resp.get("error")
+            .and_then(|e| e.get("message"))
+            .and_then(Json::as_str)
+            .expect("message")
+            .contains("nesting deeper than"),
+        "error names the depth cap"
+    );
+
+    assert!(is_ok(&client.call(&render_bare("ping"))));
+
+    shutdown.store(true, Ordering::SeqCst);
+    drop(client);
+    handle.join().expect("daemon thread");
+}
+
+#[test]
 fn mid_stream_disconnect_does_not_kill_the_daemon() {
     let (addr, shutdown, handle) = spawn_daemon();
 

@@ -78,16 +78,58 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+use std::fmt;
+use std::str::FromStr;
+
 mod exec;
 pub mod jit;
 mod lower;
 mod module;
 pub mod opt;
-mod pipeline;
 
 pub use exec::Vm;
 pub use jit::{compile_with, Jit, JitMode, JitProgram};
 pub use lower::{lower, lower_with, lowering_count};
 pub use module::{Co, Module, Op};
 pub use opt::{optimize, OptLevel, OptReport, PassStat, VmOptions};
-pub use pipeline::Backend;
+
+/// Which execution tier runs a fused artifact.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
+pub enum Backend {
+    /// The instrumented tree-walking interpreter (`grafter-runtime`).
+    #[default]
+    Interp,
+    /// The bytecode register VM (`grafter-vm`).
+    Vm,
+    /// The closure-threaded native tier ([`crate::jit`]): bytecode
+    /// pre-compiled into per-basic-block closures, with the
+    /// [`JitMode`] choosing bit-identical accounting or flat-out speed.
+    Jit(JitMode),
+}
+
+impl fmt::Display for Backend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.pad(match self {
+            Backend::Interp => "interp",
+            Backend::Vm => "vm",
+            Backend::Jit(JitMode::Counted) => "jit",
+            Backend::Jit(JitMode::Release) => "jit-release",
+        })
+    }
+}
+
+impl FromStr for Backend {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        match s {
+            "interp" | "interpreter" => Ok(Backend::Interp),
+            "vm" | "bytecode" => Ok(Backend::Vm),
+            "jit" | "jit-counted" => Ok(Backend::Jit(JitMode::Counted)),
+            "jit-release" => Ok(Backend::Jit(JitMode::Release)),
+            other => Err(format!(
+                "unknown backend `{other}` (expected interp|vm|jit|jit-release)"
+            )),
+        }
+    }
+}

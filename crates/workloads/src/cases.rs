@@ -1,10 +1,11 @@
 //! The four case studies as uniform descriptors.
 //!
-//! Every driver that sweeps "all the workloads" — the Criterion bench,
-//! the `vm_compare` backend comparison, the backend differential tests —
-//! reads this one matrix, so a change to a workload's entry sequence (or
-//! to the kd-tree schedule selection) propagates to every driver at once
-//! instead of requiring three copies to be edited in lockstep.
+//! Every driver that sweeps "all the workloads" — the `perfbench`
+//! repository benchmark, the backend differential tests, the probe and
+//! parallel suites — reads this one matrix, so a change to a workload's
+//! entry sequence (or to the kd-tree schedule selection) propagates to
+//! every driver at once instead of requiring copies to be edited in
+//! lockstep.
 
 use grafter::pipeline::Compiled;
 use grafter::FusionOptions;
@@ -30,18 +31,13 @@ pub struct CaseStudy {
     pub args: Vec<Vec<Value>>,
     /// Deterministic input builder: `(heap, size, seed) -> root`.
     pub build: fn(&mut Heap, usize, u64) -> NodeId,
-    /// Input size used by wall-clock benches.
+    /// Input size used by the wall-clock benchmark (`perfbench`).
     pub bench_size: usize,
     /// Smaller input size used by differential test suites.
     pub test_size: usize,
 }
 
 impl CaseStudy {
-    /// Builds the benchmark-sized input tree (seed 42).
-    pub fn build_bench(&self, heap: &mut Heap) -> NodeId {
-        (self.build)(heap, self.bench_size, 42)
-    }
-
     /// Builds the test-sized input tree (seed 42).
     pub fn build_test(&self, heap: &mut Heap) -> NodeId {
         (self.build)(heap, self.test_size, 42)
@@ -88,8 +84,7 @@ impl CaseStudy {
     }
 
     /// Builds the case study's VM-tier engine at a specific bytecode
-    /// optimization level (the per-opt-level sweep of `vm_compare` and
-    /// the opt differential suite).
+    /// optimization level (the opt differential suite).
     pub fn engine_opt(&self, opts: FusionOptions, opt_level: OptLevel) -> Engine {
         self.builder(opts, Backend::Vm)
             .opt_level(opt_level)

@@ -8,16 +8,14 @@
 //! is just a [`Session`](grafter_engine::Session). [`Experiment::with_backend`]
 //! switches every run between the instrumented interpreter and the
 //! `grafter-vm` bytecode VM with one argument (both produce identical
-//! metrics; only wall-clock differs). [`batch_throughput`] measures the
-//! concurrent story: one shared engine fanning a batch of trees across
-//! worker threads.
+//! metrics; only wall-clock differs).
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use grafter::pipeline::Compiled;
 use grafter::FuseOptions;
 use grafter_cachesim::CacheHierarchy;
-use grafter_engine::{BatchOptions, Engine};
+use grafter_engine::Engine;
 use grafter_runtime::{with_stack, Heap, NodeId, PureRegistry, Value};
 use grafter_vm::Backend;
 
@@ -200,63 +198,5 @@ impl Experiment {
             snap(&self.engine_with(&FuseOptions::default()))
                 == snap(&self.engine_with(&FuseOptions::unfused()))
         })
-    }
-}
-
-/// One batch-throughput measurement: `trees` identical inputs fanned out
-/// over `workers` threads sharing one engine.
-#[derive(Clone, Debug)]
-pub struct Throughput {
-    /// Worker threads used.
-    pub workers: usize,
-    /// Number of trees executed.
-    pub trees: usize,
-    /// Wall-clock of the whole batch.
-    pub wall: Duration,
-}
-
-impl Throughput {
-    /// Executed trees per second of batch wall time.
-    pub fn trees_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.trees as f64 / secs
-        }
-    }
-}
-
-/// Measures batch throughput of `engine`: builds `trees` inputs with
-/// `build` and times one [`Engine::run_batch_with`] fan-out across
-/// `workers` threads (each with an experiment-sized stack).
-///
-/// The reports themselves are cross-checked for determinism — every tree
-/// is identical, so every report must be too.
-pub fn batch_throughput(
-    engine: &Engine,
-    build: &(dyn Fn(&mut Heap) -> NodeId + Sync),
-    trees: usize,
-    workers: usize,
-) -> Throughput {
-    let inputs: Vec<_> = (0..trees).map(|_| |heap: &mut Heap| build(heap)).collect();
-    let opts = BatchOptions {
-        workers,
-        stack_bytes: RUN_STACK,
-        ..BatchOptions::default()
-    };
-    let start = Instant::now();
-    let reports = engine
-        .run_batch_with(inputs, &opts)
-        .expect("batch succeeds");
-    let wall = start.elapsed();
-    assert!(
-        reports.windows(2).all(|w| w[0] == w[1]),
-        "identical inputs must produce identical reports"
-    );
-    Throughput {
-        workers,
-        trees,
-        wall,
     }
 }

@@ -7,7 +7,7 @@
 //! pure representation change — same semantics, same cost model, less
 //! dispatch overhead. The workload matrix is the shared
 //! `grafter_workloads::case_studies()` descriptor, so these tests always
-//! cover exactly the configurations the benches measure.
+//! cover exactly the case studies `perfbench` measures.
 
 use grafter::{Compiled, FuseOptions};
 use grafter_engine::Engine;
