@@ -12,39 +12,28 @@ use grafter_obs::{BatchTrace, WorkerStats};
 use grafter_runtime::{Heap, NodeId};
 
 use crate::engine::Engine;
-use crate::par::ParallelOptions;
 use crate::pool;
 use crate::report::Report;
 use crate::session::Session;
 
 /// Tuning for [`Engine::run_batch_with`].
+///
+/// Batch workers run on the persistent pool, whose threads reserve a
+/// 2 GiB stack each — enough for the deepest trees in the workspace, so
+/// stack size is not a knob. Inputs run sequentially within their
+/// session; intra-tree parallelism is a per-session setting
+/// ([`Session::with_parallel`](crate::Session::with_parallel)).
 #[derive(Clone, Debug)]
 pub struct BatchOptions {
     /// Number of worker threads (clamped to at least 1 and at most the
     /// number of inputs). Default: the machine's available parallelism.
     pub workers: usize,
-    /// Stack size per worker thread. Traversals recurse once per tree
-    /// level, so deep trees (long sibling chains) need large stacks; the
-    /// default of 256 MiB of *reserved* (not committed) stack covers the
-    /// paper's workloads at benchmark sizes. Requests up to 2 GiB run on
-    /// the persistent pool; anything larger falls back to dedicated
-    /// per-call threads.
-    pub stack_bytes: usize,
-    /// Intra-tree parallelism applied to every input's session; `None`
-    /// inherits the engine's default (see
-    /// [`EngineBuilder::parallel`](crate::EngineBuilder::parallel)).
-    /// Intra-tree forks draw on the same persistent pool as the batch
-    /// fan-out itself — waiting threads help drain the queue, so the two
-    /// levels of parallelism compose without deadlock.
-    pub parallel: Option<ParallelOptions>,
 }
 
 impl Default for BatchOptions {
     fn default() -> Self {
         BatchOptions {
             workers: thread::available_parallelism().map_or(4, usize::from),
-            stack_bytes: 256 << 20,
-            parallel: None,
         }
     }
 }
@@ -52,25 +41,8 @@ impl Default for BatchOptions {
 impl BatchOptions {
     /// Options with an explicit worker count.
     pub fn with_workers(workers: usize) -> Self {
-        BatchOptions {
-            workers,
-            ..BatchOptions::default()
-        }
+        BatchOptions { workers }
     }
-
-    /// Sets the per-session intra-tree parallelism.
-    pub fn with_parallel(mut self, parallel: ParallelOptions) -> Self {
-        self.parallel = Some(parallel);
-        self
-    }
-}
-
-/// Where a finished input's result goes.
-enum Deposit<'a> {
-    /// Positional result slots (the collect-everything API).
-    Slots(&'a [Mutex<Option<Result<Report, Error>>>]),
-    /// Bounded in-order stream (the serving API).
-    Stream(&'a StreamBuf),
 }
 
 /// The bounded reorder buffer behind [`Engine::run_batch_streamed`].
@@ -140,13 +112,10 @@ impl StreamBuf {
 struct BatchCtx<'a, F> {
     engine: &'a Engine,
     slots: &'a [Mutex<Option<F>>],
-    deposit: Deposit<'a>,
+    stream: &'a StreamBuf,
     next: &'a AtomicUsize,
     n: usize,
     probing: bool,
-    /// Intra-tree parallelism for each input's session (`None` inherits
-    /// the engine default).
-    parallel: Option<&'a ParallelOptions>,
     stats: &'a Mutex<Vec<WorkerStats>>,
     /// Batch-local worker index sequence (for telemetry labels).
     seq: &'a AtomicUsize,
@@ -169,8 +138,9 @@ fn panic_error(engine: &Engine, payload: &(dyn Any + Send)) -> Error {
 }
 
 /// One worker's participation in a batch: claim inputs off the shared
-/// counter until none remain. Runs on pool threads and (in the fallback
-/// path) on dedicated scoped threads — the body is identical.
+/// counter until none remain. Runs on pool threads and (for batches
+/// submitted from a pool worker) on dedicated scoped threads — the body
+/// is identical.
 fn batch_worker<F>(ctx: &BatchCtx<'_, F>)
 where
     F: FnOnce(&mut Heap) -> NodeId + Send,
@@ -193,13 +163,8 @@ where
             .take()
             .expect("each input is claimed once");
         let t = ctx.probing.then(Instant::now);
-        let session_ref = session.get_or_insert_with(|| {
-            let s = ctx.engine.session_on(pool::take_heap(ctx.engine));
-            match ctx.parallel {
-                Some(par) => s.with_parallel(par.clone()),
-                None => s,
-            }
-        });
+        let session_ref =
+            session.get_or_insert_with(|| ctx.engine.session_on(pool::take_heap(ctx.engine)));
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             session_ref.reset();
             let root = session_ref.build_tree(build);
@@ -218,12 +183,7 @@ where
                 Err(panic_error(ctx.engine, &*payload))
             }
         };
-        match &ctx.deposit {
-            Deposit::Slots(results) => {
-                *results[i].lock().expect("result slot lock") = Some(result);
-            }
-            Deposit::Stream(stream) => stream.deposit(i, result),
-        }
+        ctx.stream.deposit(i, result);
         if let Some(t) = t {
             busy += t.elapsed();
             done += 1;
@@ -292,7 +252,7 @@ impl Engine {
         self.run_batch_with(inputs, &BatchOptions::default())
     }
 
-    /// [`Engine::run_batch`] with explicit worker count and stack size.
+    /// [`Engine::run_batch`] with an explicit worker count.
     ///
     /// # Errors
     ///
@@ -322,51 +282,12 @@ impl Engine {
         F: FnOnce(&mut Heap) -> NodeId + Send,
     {
         let n = inputs.len();
-        // Guard before the worker clamp below: `clamp(1, n)` requires
-        // `1 <= n` and would panic on an empty batch.
-        if n == 0 {
-            return Vec::new();
-        }
-        // Slot i holds input i, then result i: ordering is positional, so
-        // the output is deterministic regardless of which worker runs what.
-        let slots: Vec<Mutex<Option<F>>> =
-            inputs.into_iter().map(|f| Mutex::new(Some(f))).collect();
-        let results: Vec<Mutex<Option<Result<Report, Error>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        let workers = opts.workers.clamp(1, n);
-        // Batch telemetry exists only when the engine has a probe: the
-        // unprobed fan-out takes no timestamps at all.
-        let batch_start = Instant::now();
-        let stats = Mutex::new(Vec::new());
-        let ctx = BatchCtx {
-            engine: self,
-            slots: &slots,
-            deposit: Deposit::Slots(&results),
-            next: &AtomicUsize::new(0),
-            n,
-            probing: self.probe.is_some(),
-            parallel: opts.parallel.as_ref(),
-            stats: &stats,
-            seq: &AtomicUsize::new(0),
-        };
-
-        self.fan_out(&ctx, workers, opts, None);
-
-        if let Some(probe) = &self.probe {
-            probe.on_batch(&BatchTrace {
-                workers: stats.into_inner().expect("worker stats lock"),
-                wall: batch_start.elapsed(),
-            });
-        }
-
+        let mut results = Vec::with_capacity(n);
+        // A window of the whole batch never blocks a worker, and the
+        // sink sees results in input order, so pushing collects them
+        // positionally.
+        self.run_batch_streamed(inputs, opts, n, |_, result| results.push(result));
         results
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .expect("result slot lock")
-                    .expect("every input slot was filled")
-            })
-            .collect()
     }
 
     /// Streams batch results to `sink` **in input order** with bounded
@@ -375,9 +296,9 @@ impl Engine {
     /// (backpressure) rather than buffer — what a serving layer needs to
     /// relay a large batch to a slow client in constant memory.
     ///
-    /// `sink` runs on the calling thread. Results are exactly those
-    /// [`Engine::try_run_batch`] would produce, including per-input
-    /// panics surfacing as typed [`Stage::Runtime`] errors.
+    /// `sink` runs on the calling thread. [`Engine::try_run_batch`] is
+    /// this call with a window of the whole batch; per-input panics
+    /// surface as typed [`Stage::Runtime`] errors here too.
     pub fn run_batch_streamed<F>(
         &self,
         inputs: Vec<F>,
@@ -388,91 +309,72 @@ impl Engine {
         F: FnOnce(&mut Heap) -> NodeId + Send,
     {
         let n = inputs.len();
+        // Guard before the worker clamp below: `clamp(1, n)` requires
+        // `1 <= n` and would panic on an empty batch.
         if n == 0 {
             return;
         }
+        // Slot i holds input i until a worker claims it; results are
+        // emitted by index, so the output is deterministic regardless of
+        // which worker runs what.
         let slots: Vec<Mutex<Option<F>>> =
             inputs.into_iter().map(|f| Mutex::new(Some(f))).collect();
         let workers = opts.workers.clamp(1, n);
+        // Batch telemetry exists only when the engine has a probe: the
+        // unprobed fan-out takes no timestamps at all.
         let batch_start = Instant::now();
         let stats = Mutex::new(Vec::new());
         let stream = StreamBuf::new(n, window);
         let ctx = BatchCtx {
             engine: self,
             slots: &slots,
-            deposit: Deposit::Stream(&stream),
+            stream: &stream,
             next: &AtomicUsize::new(0),
             n,
             probing: self.probe.is_some(),
-            parallel: opts.parallel.as_ref(),
             stats: &stats,
             seq: &AtomicUsize::new(0),
         };
 
-        // The calling thread is the stream's consumer, so every worker
-        // (pooled or dedicated) produces into the window while we drain;
-        // the fan-out call returns once all workers finished, i.e. after
-        // the drain has emitted everything.
-        self.fan_out(
-            &ctx,
-            workers,
-            opts,
-            Some(&mut |stream: &StreamBuf| {
-                for _ in 0..n {
-                    let (i, result) = stream.take_next();
-                    sink(i, result);
+        // The calling thread is the stream's consumer: it drains while
+        // the workers produce into the window.
+        let mut drain = || {
+            for _ in 0..n {
+                let (i, result) = stream.take_next();
+                sink(i, result);
+            }
+        };
+        if pool::on_pool_worker() {
+            // Called from a pool worker (e.g. by another batch's tree
+            // builder): waiting on the pool this thread occupies could
+            // deadlock it, so this batch runs on dedicated threads.
+            thread::scope(|scope| {
+                for _ in 0..workers {
+                    thread::Builder::new()
+                        .stack_size(pool::POOL_STACK)
+                        .spawn_scoped(scope, || batch_worker(&ctx))
+                        .expect("spawn batch worker thread");
                 }
-            }),
-        );
-
-        if let Some(probe) = &self.probe {
-            probe.on_batch(&BatchTrace {
-                workers: stats.into_inner().expect("worker stats lock"),
-                wall: batch_start.elapsed(),
+                drain();
             });
-        }
-    }
-
-    /// Executes one batch's workers — on the persistent pool when the
-    /// requested stack fits and we are not already on a pool thread
-    /// (which would deadlock the pool on itself), on dedicated scoped
-    /// threads otherwise. `drain`, when present, runs on the calling
-    /// thread while workers produce (the streaming consumer).
-    fn fan_out<F>(
-        &self,
-        ctx: &BatchCtx<'_, F>,
-        workers: usize,
-        opts: &BatchOptions,
-        drain: Option<&mut dyn FnMut(&StreamBuf)>,
-    ) where
-        F: FnOnce(&mut Heap) -> NodeId + Send,
-    {
-        let pooled = opts.stack_bytes <= pool::POOL_STACK && !pool::on_pool_worker();
-        if pooled {
+        } else {
             let pool = pool::pool();
             pool.ensure_threads(workers);
             let latch = pool.submit(
                 workers,
                 batch_job::<F>,
-                ctx as *const BatchCtx<'_, F> as *const (),
+                &ctx as *const BatchCtx<'_, F> as *const (),
             );
-            if let (Some(drain), Deposit::Stream(stream)) = (drain, &ctx.deposit) {
-                drain(stream);
-            }
+            drain();
             // Blocking here is what makes the borrowed `ctx` sound: no
             // job handle can touch it after the latch opens.
             latch.wait();
-        } else {
-            thread::scope(|scope| {
-                for _ in 0..workers {
-                    thread::Builder::new()
-                        .stack_size(opts.stack_bytes)
-                        .spawn_scoped(scope, || batch_worker(ctx))
-                        .expect("spawn batch worker thread");
-                }
-                if let (Some(drain), Deposit::Stream(stream)) = (drain, &ctx.deposit) {
-                    drain(stream);
-                }
+        }
+
+        if let Some(probe) = &self.probe {
+            probe.on_batch(&BatchTrace {
+                workers: stats.into_inner().expect("worker stats lock"),
+                wall: batch_start.elapsed(),
             });
         }
     }

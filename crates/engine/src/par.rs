@@ -5,7 +5,7 @@
 //! The dependence analysis (`grafter::SubtreeIndependence`) marks runs of
 //! scheduled sibling calls whose access automata cannot touch each
 //! other's subtrees and never write globals. A parallel run executes the
-//! top `fork_depth` levels of the tree in the interpreter (the
+//! top `FORK_DEPTH` levels of the tree in the interpreter (the
 //! *orchestrator*); at each certified run it carves one [`Heap`] shard
 //! per sibling (`Heap::shard_for_subtree`) and scatters them, and at
 //! every other dispatch below the fork depth it hands the whole subtree
@@ -24,7 +24,6 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
 
 use grafter_obs::{ChainCounters, ExecCounters};
 use grafter_runtime::{
@@ -35,7 +34,12 @@ use grafter_vm::{Backend, Vm};
 use crate::engine::Engine;
 use crate::pool;
 
-/// Tuning for intra-tree parallel runs.
+/// Deepest tree level (root = 1) at which certified call runs fork;
+/// below it, whole subtrees run sequentially in the engine's tier.
+const FORK_DEPTH: usize = 4;
+
+/// Tuning for intra-tree parallel runs, set per session with
+/// [`Session::with_parallel`](crate::Session::with_parallel).
 ///
 /// The default (`workers = 1`) is sequential execution; anything above
 /// one enables forking when the engine's program has at least one
@@ -49,11 +53,9 @@ pub struct ParallelOptions {
     /// Total worker budget including the orchestrating thread; `1`
     /// disables forking entirely.
     pub workers: usize,
-    /// Deepest tree level (root = 1) at which certified call runs fork;
-    /// below it, whole subtrees run sequentially in the engine's tier.
-    pub fork_depth: usize,
     /// Minimum live-node count for a subtree to be worth a shard; runs
-    /// with fewer than two subtrees this big execute in-line.
+    /// with fewer than two subtrees this big execute in-line. Settable
+    /// so that differential tests (cutoff `1`) fork on test-size trees.
     pub seq_cutoff: usize,
 }
 
@@ -61,24 +63,18 @@ impl Default for ParallelOptions {
     fn default() -> Self {
         ParallelOptions {
             workers: 1,
-            fork_depth: 4,
             seq_cutoff: 256,
         }
     }
 }
 
 impl ParallelOptions {
-    /// Options with an explicit worker count and default depth/cutoff.
+    /// Options with an explicit worker count and the default cutoff.
     pub fn with_workers(workers: usize) -> Self {
         ParallelOptions {
             workers,
             ..ParallelOptions::default()
         }
-    }
-
-    /// A worker count meaning "the machine": available parallelism.
-    pub fn auto() -> Self {
-        ParallelOptions::with_workers(thread::available_parallelism().map_or(4, usize::from))
     }
 }
 
@@ -202,7 +198,7 @@ impl<'e> ParHost<'e> {
         globals: &[Value],
         depth: usize,
     ) -> Result<ForkOutcome, RuntimeError> {
-        if self.opts.workers > 1 && depth <= self.opts.fork_depth {
+        if self.opts.workers > 1 && depth <= FORK_DEPTH {
             let mut host = self.clone();
             let mut interp = Interp::with_pures(&self.engine.fused, self.pures.clone());
             if self.probing_classes() {
@@ -376,14 +372,14 @@ impl ForkHost for ParHost<'_> {
     const ENABLED: bool = true;
 
     fn should_fork(&mut self, depth: usize) -> bool {
-        self.opts.workers > 1 && depth <= self.opts.fork_depth
+        self.opts.workers > 1 && depth <= FORK_DEPTH
     }
 
     fn take_over(&mut self, depth: usize) -> bool {
         // Below the fork depth the compiled tiers take whole subtrees;
         // on the interpreter tier the orchestrator IS the tier, so
         // handing over would be a pointless executor swap.
-        depth > self.opts.fork_depth && !matches!(self.engine.backend, Backend::Interp)
+        depth > FORK_DEPTH && !matches!(self.engine.backend, Backend::Interp)
     }
 
     fn fork(

@@ -40,10 +40,10 @@ use grafter_runtime::Heap;
 
 use crate::engine::Engine;
 
-/// Reserved (not committed) stack per pool worker. Traversals recurse
-/// once per tree level, so this matches the largest stack any in-tree
-/// batch caller asks for (the workload harness uses 2 GiB); batches
-/// requesting more fall back to dedicated per-call threads.
+/// Reserved (not committed) stack per batch worker — pool threads and
+/// the dedicated threads of batches submitted from a pool worker alike.
+/// Traversals recurse once per tree level, so this matches the largest
+/// stack any in-tree caller uses (the workload harness's 2 GiB).
 pub(crate) const POOL_STACK: usize = 1 << 31;
 
 /// Heap arenas cached per worker thread, keyed by program identity.

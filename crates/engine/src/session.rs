@@ -30,7 +30,7 @@ pub struct Session<'e> {
     pures: Option<PureRegistry>,
     args: Option<Vec<Vec<Value>>>,
     cache: Option<CacheHierarchy>,
-    parallel: Option<ParallelOptions>,
+    parallel: ParallelOptions,
 }
 
 impl<'e> Session<'e> {
@@ -45,7 +45,7 @@ impl<'e> Session<'e> {
             pures: None,
             args: None,
             cache: engine.cache.clone(),
-            parallel: None,
+            parallel: ParallelOptions::default(),
         }
     }
 
@@ -91,13 +91,13 @@ impl<'e> Session<'e> {
         self
     }
 
-    /// Overrides the engine's intra-tree parallelism for this session
-    /// only. With more than one worker (and no cache model attached),
-    /// statically certified independent sibling subtrees fork across the
-    /// persistent worker pool; results stay bit-identical to a
-    /// sequential run.
+    /// Sets intra-tree parallelism for this session (sessions run
+    /// sequentially by default). With more than one worker (and no cache
+    /// model attached), statically certified independent sibling
+    /// subtrees fork across the persistent worker pool; results stay
+    /// bit-identical to a sequential run.
     pub fn with_parallel(mut self, parallel: ParallelOptions) -> Self {
-        self.parallel = Some(parallel);
+        self.parallel = parallel;
         self
     }
 
@@ -216,19 +216,16 @@ impl<'e> Session<'e> {
         // program has at least one certified parallel-safe call run;
         // everything observable — snapshots, metrics, globals — is
         // bit-identical to the sequential path below.
-        let par = self
-            .parallel
-            .clone()
-            .unwrap_or_else(|| engine.parallel.clone());
-        let use_parallel = par.workers > 1 && cache.is_none() && engine.fused.par.any_parallel();
+        let use_parallel =
+            self.parallel.workers > 1 && cache.is_none() && engine.fused.par.any_parallel();
         // `wall` times the execution alone; executor setup and the
         // post-run globals readout stay outside the measured region.
         let (metrics, cache_stats, globals, wall, profile) = if use_parallel {
-            // The orchestrator interprets the top `fork_depth` levels and
+            // The orchestrator interprets the top `FORK_DEPTH` levels and
             // hands whole subtrees to the engine's tier below them; the
             // cross-tier metric model is bit-identical, so each tier's
             // sequential report is reproduced exactly.
-            let mut host = ParHost::new(engine, par, pures.clone(), probing);
+            let mut host = ParHost::new(engine, self.parallel.clone(), pures.clone(), probing);
             let mut interp = Interp::with_pures(&engine.fused, pures);
             if probing && matches!(engine.backend, Backend::Interp) {
                 interp = interp.with_class_counts();
@@ -253,17 +250,9 @@ impl<'e> Session<'e> {
                 _ => interp.metrics.clone(),
             };
             let profile = match engine.backend {
-                Backend::Interp => interp.take_class_counts().map(|counts| TierProfile {
-                    class_visits: engine
-                        .program()
-                        .classes
-                        .iter()
-                        .zip(counts)
-                        .filter(|&(_, n)| n > 0)
-                        .map(|(c, n)| (c.name.clone(), n))
-                        .collect(),
-                    ..TierProfile::default()
-                }),
+                Backend::Interp => interp
+                    .take_class_counts()
+                    .map(|counts| class_visit_profile(engine, counts)),
                 // Compiled-tier histograms cover the subtrees the tier
                 // executed (per-worker counters merged at join); the
                 // interpreted fork levels contribute no per-site rows.
@@ -310,17 +299,9 @@ impl<'e> Session<'e> {
                             (name, value)
                         })
                         .collect();
-                    let profile = interp.take_class_counts().map(|counts| TierProfile {
-                        class_visits: engine
-                            .program()
-                            .classes
-                            .iter()
-                            .zip(counts)
-                            .filter(|&(_, n)| n > 0)
-                            .map(|(c, n)| (c.name.clone(), n))
-                            .collect(),
-                        ..TierProfile::default()
-                    });
+                    let profile = interp
+                        .take_class_counts()
+                        .map(|counts| class_visit_profile(engine, counts));
                     (
                         interp.metrics,
                         interp.cache.as_ref().map(CacheHierarchy::stats),
@@ -429,5 +410,21 @@ impl<'e> Session<'e> {
 
     fn config_error(&self, message: String) -> Error {
         Error::from_diag(Diag::error_global(Stage::Config, message), &self.engine.src)
+    }
+}
+
+/// The interpreter tier's run profile: visits per class, by name, for
+/// every class visited at least once.
+fn class_visit_profile(engine: &Engine, counts: Vec<u64>) -> TierProfile {
+    TierProfile {
+        class_visits: engine
+            .program()
+            .classes
+            .iter()
+            .zip(counts)
+            .filter(|&(_, n)| n > 0)
+            .map(|(c, n)| (c.name.clone(), n))
+            .collect(),
+        ..TierProfile::default()
     }
 }

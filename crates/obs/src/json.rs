@@ -449,17 +449,21 @@ impl<'s> Parser<'s> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through byte-by-byte; input is valid UTF-8 by
-                    // construction of &str).
-                    let rest = &self.src[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| JsonError {
-                        msg: "invalid utf-8".into(),
-                        at: self.pos,
-                    })?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or escape as one
+                    // slice. The document is a `&str` and both delimiters
+                    // are ASCII, so the run is whole UTF-8 and checking it
+                    // costs its own length only.
+                    let start = self.pos;
+                    self.pos += self.src[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.src.len() - start);
+                    let run =
+                        std::str::from_utf8(&self.src[start..self.pos]).map_err(|_| JsonError {
+                            msg: "invalid utf-8".into(),
+                            at: start,
+                        })?;
+                    out.push_str(run);
                 }
             }
         }
@@ -559,6 +563,7 @@ pub fn validate_chrome_trace(doc: &Json) -> Result<usize, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn parses_scalars_and_nesting() {
@@ -579,6 +584,44 @@ mod tests {
         assert_eq!(x[1], Json::Arr(Vec::new()));
         assert_eq!(x[2].get("y").unwrap().as_arr(), Some(&[Json::Num(1.0)][..]));
         assert_eq!(nested.get("z"), Some(&Json::Obj(BTreeMap::new())));
+    }
+
+    /// String decoding is linear in the document: an inline-tree request
+    /// of a megabyte must not take seconds. Decoding that rescans the
+    /// rest of the document for every character takes tens of seconds on
+    /// a document this size.
+    #[test]
+    fn megabyte_of_strings_parses_in_linear_time() {
+        const KEYS: usize = 4000;
+        let value = |i: usize| format!("{i:05} é \"q\" \\ {}", "x".repeat(240));
+        let mut w = JsonWriter::new();
+        w.begin_obj();
+        for i in 0..KEYS {
+            w.key(&format!("key_{i:05}")).str(&value(i));
+        }
+        w.end_obj();
+        let doc = w.finish();
+        assert!(doc.len() >= 1 << 20, "document is {} bytes", doc.len());
+
+        let start = Instant::now();
+        let parsed = parse(&doc).expect("document parses");
+        let elapsed = start.elapsed();
+        match &parsed {
+            Json::Obj(map) => assert_eq!(map.len(), KEYS),
+            other => panic!("not an object: {other:?}"),
+        }
+        for i in 0..KEYS {
+            assert_eq!(
+                parsed.get(&format!("key_{i:05}")).and_then(Json::as_str),
+                Some(value(i).as_str()),
+                "key {i}"
+            );
+        }
+        assert!(
+            elapsed < Duration::from_secs(5),
+            "parsing {} bytes took {elapsed:?}",
+            doc.len()
+        );
     }
 
     #[test]

@@ -1,7 +1,12 @@
 //! The persistent batch worker pool: steady-state batches spawn zero
-//! threads, panicking inputs poison only their own pooled session, and
-//! the streamed API delivers the same results in input order under a
-//! bounded window.
+//! threads, panicking inputs poison only their own pooled session, the
+//! streamed API delivers the same results in input order under a
+//! bounded window, and a batch submitted from a pool worker completes
+//! instead of waiting on the pool it occupies.
+
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 use grafter_engine::{pool_stats, Backend, BatchOptions, Engine};
 use grafter_runtime::Heap;
@@ -156,6 +161,55 @@ fn case_study_batches_stay_bit_identical_through_the_pool() {
             reports.windows(2).all(|w| w[0] == w[1]),
             "{}: pooled batch reports must be bit-identical",
             case.name
+        );
+    }
+}
+
+/// Tree builders run on pool workers. A builder that submits a batch of
+/// its own must not wait on the pool it occupies: that batch runs on
+/// dedicated threads, completes, and its reports are the ones a batch
+/// from any other thread would return. A deadlock fails the test after
+/// a generous timeout instead of hanging the suite (the stuck submitter
+/// is then left unjoined).
+#[test]
+fn batch_from_a_tree_builder_on_a_pool_worker_completes() {
+    let inner_lens = [3usize, 5, 7];
+    let (tx, rx) = mpsc::channel();
+    let submitter = thread::spawn(move || {
+        let engine = list_engine();
+        let engine_ref = &engine;
+        let inputs: Vec<_> = (0..4)
+            .map(|i| {
+                move |heap: &mut Heap| {
+                    let inner = engine_ref
+                        .run_batch_with(
+                            inner_lens.iter().map(|&len| list_of(len + i)).collect(),
+                            &BatchOptions::with_workers(2),
+                        )
+                        .expect("nested batch runs");
+                    // The outer tree's length carries the nested reports
+                    // into the outer report, so wrong nested results show.
+                    let visits: u64 = inner.iter().map(|r| r.metrics.visits).sum();
+                    list_of(visits as usize)(heap)
+                }
+            })
+            .collect();
+        let _ = tx.send(engine.run_batch_with(inputs, &BatchOptions::with_workers(4)));
+    });
+    let reports = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("a batch submitted from a pool worker deadlocked the pool")
+        .expect("outer batch runs");
+    submitter.join().expect("submitting thread finishes");
+    assert_eq!(reports.len(), 4);
+    for (i, report) in reports.iter().enumerate() {
+        // A list of `len` cons cells visits `len + 1` nodes (the end node
+        // included).
+        let inner_visits: usize = inner_lens.iter().map(|&len| len + i + 1).sum();
+        assert_eq!(
+            report.metrics.visits as usize,
+            inner_visits + 1,
+            "input {i}: nested batch reports reached the outer tree"
         );
     }
 }

@@ -21,14 +21,13 @@ const STACK: usize = 64 << 20;
 
 type Snapshot = Vec<(String, Vec<grafter_runtime::SnapValue>)>;
 
-/// Aggressive options: fork at the top levels and consider every subtree
-/// worth a shard, so test-sized trees actually scatter instead of hiding
-/// behind the production `seq_cutoff`.
+/// Aggressive options: consider every subtree worth a shard, so
+/// test-sized trees actually scatter instead of hiding behind the
+/// production `seq_cutoff`.
 fn aggressive(workers: usize) -> ParallelOptions {
     ParallelOptions {
-        workers,
-        fork_depth: 4,
         seq_cutoff: 1,
+        ..ParallelOptions::with_workers(workers)
     }
 }
 
